@@ -58,6 +58,11 @@ fi
 echo "== tier-1 test suite =="
 python -m pytest -x -q
 
+echo "== benchmark self-tests (perfledger) =="
+# The repository benchmark's own logic (BENCHMARK.json, perfledger/);
+# testpaths = ["tests"] keeps these out of the tier-1 run above.
+python3 -m pytest perfledger/tests -q
+
 echo "== fault-tolerance smoke =="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}"' EXIT

@@ -8,7 +8,7 @@ timing simulations only on the estimated frontier. See ``docs/dse.md``.
 """
 
 from repro.mrc.engine import CurvePoint, MRCResult, MRCSpec, mrc_pass, sample_addresses
-from repro.mrc.ghost import AdaptiveGhost, GhostBiModal, GhostCache
+from repro.mrc.ghost import AdaptiveGhost, GhostBiModal, GhostCache, GhostPass
 from repro.mrc.dse import (
     DesignPoint,
     default_space,
@@ -23,6 +23,7 @@ __all__ = [
     "DesignPoint",
     "GhostBiModal",
     "GhostCache",
+    "GhostPass",
     "MRCResult",
     "MRCSpec",
     "default_space",

@@ -40,7 +40,7 @@ from repro.harness.runner import (
     scaled_locator_bits,
 )
 from repro.mrc.engine import MRCSpec, mrc_pass, sample_addresses
-from repro.mrc.ghost import AdaptiveGhost, GhostCache
+from repro.mrc.ghost import AdaptiveGhost, GhostCache, GhostPass
 from repro.workloads.trace_cache import materialized_columns
 
 __all__ = [
@@ -107,6 +107,17 @@ def _point_ghost(point: DesignPoint, capacity: int):
     return GhostCache(capacity, point.associativity, point.block_size)
 
 
+def _estimate(family: GhostPass, points: list[DesignPoint]) -> list[list[int]]:
+    """``[hits, accesses, best_x, best_y]`` of ``points`` on one pass."""
+    ghosts = [_point_ghost(point, point.cache_mb << 20) for point in points]
+    family.drive(ghosts)
+    rows = []
+    for ghost in ghosts:
+        best = ghost.best_state if isinstance(ghost, AdaptiveGhost) else (0, 0)
+        rows.append([ghost.hits, ghost.accesses, best[0], best[1]])
+    return rows
+
+
 # ----------------------------------------------------------------------
 # phase 1: ghost estimation (one cell per mix)
 # ----------------------------------------------------------------------
@@ -124,9 +135,14 @@ class DseEstimateCell:
 def dse_estimate_cell(cell: DseEstimateCell) -> list:
     """Worker: per-point ``[hits, accesses, best_x, best_y]`` rows.
 
-    Consumes the shared materialized address column once (sampled by
-    the seeded frame hash), driving every point's ghost over the same
-    sub-stream with the timing drive's warm-up boundary.
+    Samples the shared materialized address column once (seeded frame
+    hash) and drives every point's ghost over that sub-stream through
+    one :class:`~repro.mrc.ghost.GhostPass`, with the timing drive's
+    warm-up boundary. Points are driven one (capacity, block,
+    associativity) at a time — its fixed and adaptive policies
+    together, so the pass can run the fixed LRU point and the adaptive
+    ``(X, 0)`` state once — and each group's ghosts are released
+    before the next is built.
     """
     setup = cell.setup
     addresses, _, _ = materialized_columns(
@@ -139,12 +155,16 @@ def dse_estimate_cell(cell: DseEstimateCell) -> list:
     stream = sample_addresses(addresses, cell.sample_rate, setup.seed)
     n = len(stream)
     warmup = int(n * cell.warmup_fraction) if cell.warmup_fraction else 0
-    rows = []
-    for point in cell.space:
-        ghost = _point_ghost(point, point.cache_mb << 20)
-        ghost.consume(stream, warmup)
-        best = ghost.best_state if isinstance(ghost, AdaptiveGhost) else (0, 0)
-        rows.append([ghost.hits, ghost.accesses, best[0], best[1]])
+    family = GhostPass(stream, warmup)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, point in enumerate(cell.space):
+        key = (point.cache_mb, point.block_size, point.associativity)
+        groups.setdefault(key, []).append(i)
+    rows: list = [None] * len(cell.space)
+    for members in groups.values():
+        group_rows = _estimate(family, [cell.space[i] for i in members])
+        for i, row in zip(members, group_rows):
+            rows[i] = row
     from repro.obs import get_metrics
 
     metrics = get_metrics()

@@ -2,13 +2,14 @@
 
 The grid experiments pay one full timing simulation per design point —
 O(configs × trace). This engine answers the *hit-rate* part of every
-sweep in a single O(trace) pass: the materialized address column (the
-zero-copy SoA view from ``trace_cache.materialized_columns()``) is
-walked once per ghost, and each tag-only ghost cache costs a couple of
-dict probes per record, so the whole capacity × block-size ×
-associativity × (X, Y) family resolves for less than one timing cell
-(measured in ``BENCH_perf.json`` under the ``mrc`` perfbench mode;
-analysis in ``docs/dse.md``).
+sweep in a single pass over the materialized address column (the
+zero-copy SoA view from ``trace_cache.materialized_columns()``): one
+:class:`~repro.mrc.ghost.GhostPass` derives the per-record (set, tag)
+and region-tracker columns once and shares them, so each tag-only ghost
+model adds only its dict probes and LRU moves per record, and the whole
+capacity × block-size × associativity × (X, Y) family resolves for less
+than one timing cell (measured in ``BENCH_perf.json`` under the ``mrc``
+perfbench mode; analysis in ``docs/dse.md``).
 
 Sampling
 --------
@@ -31,12 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.mrc.ghost import AdaptiveGhost, GhostCache
+import numpy as np
 
-try:  # numpy accelerates sampling; the scalar path is identical.
-    import numpy as np
-except ImportError:  # pragma: no cover - baked into the image
-    np = None
+from repro.mrc.ghost import AdaptiveGhost, GhostCache, GhostPass
 
 __all__ = [
     "CurvePoint",
@@ -145,32 +143,19 @@ def sample_addresses(addresses, rate: float, seed: int) -> list[int]:
     """Deterministic 4 KB-frame subset of an address stream.
 
     Keeps an address iff ``hash(frame, seed)``'s top 24 bits fall under
-    ``rate·2^24`` — a pure function of (address, seed), identical on the
-    numpy and scalar paths (the scalar fallback reproduces uint64
-    wraparound with explicit masking).
+    ``rate·2^24`` — a pure function of (address, seed), whether the
+    stream arrives as an array or a list.
     """
+    a = np.asarray(addresses, dtype=np.uint64)
     if rate >= 1.0:
-        return addresses.tolist() if hasattr(addresses, "tolist") else list(addresses)
-    threshold = int(rate * (1 << 24))
+        return a.tolist()
     salt = (seed * _SEED_MIX) & _MASK64
-    if np is not None and isinstance(addresses, np.ndarray):
-        a = addresses.astype(np.uint64, copy=False)
-        h = (a >> np.uint64(_FRAME_BITS)) ^ np.uint64(salt)
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(_MIX_A)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(_MIX_B)
-        h = h ^ (h >> np.uint64(31))
-        keep = ((h >> np.uint64(40)) & np.uint64(0xFFFFFF)) < threshold
-        return a[keep].tolist()
-    kept = []
-    append = kept.append
-    for address in addresses:
-        h = (int(address) >> _FRAME_BITS) ^ salt
-        h = ((h ^ (h >> 30)) * _MIX_A) & _MASK64
-        h = ((h ^ (h >> 27)) * _MIX_B) & _MASK64
-        h = h ^ (h >> 31)
-        if ((h >> 40) & 0xFFFFFF) < threshold:
-            append(int(address))
-    return kept
+    h = (a >> np.uint64(_FRAME_BITS)) ^ np.uint64(salt)
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(_MIX_A)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(_MIX_B)
+    h = h ^ (h >> np.uint64(31))
+    keep = ((h >> np.uint64(40)) & np.uint64(0xFFFFFF)) < int(rate * (1 << 24))
+    return a[keep].tolist()
 
 
 def _pow2_scale(value: int, rate: float, minimum: int) -> int:
@@ -199,8 +184,9 @@ def mrc_pass(addresses, spec: MRCSpec) -> MRCResult:
 
     ``addresses`` is any integer sequence — canonically the first
     column of ``trace_cache.materialized_columns()``. Returns the four
-    curves of :class:`MRCResult`; cost is O(sampled records × ghosts)
-    dict probes and nothing else.
+    curves of :class:`MRCResult`. Every ghost runs in one
+    :class:`~repro.mrc.ghost.GhostPass`, so the cost is the shared
+    columns plus O(sampled records × ghosts) dict probes.
     """
     spec.validate()
     total = len(addresses)
@@ -243,8 +229,7 @@ def mrc_pass(addresses, spec: MRCSpec) -> MRCResult:
         )
         ghosts.append(("xy", capacity, ghost))
 
-    for _, _, ghost in ghosts:
-        ghost.consume(stream, warmup)
+    GhostPass(stream, warmup).drive([ghost for _, _, ghost in ghosts])
 
     curves: dict[str, list[CurvePoint]] = {
         "capacity": [], "block_size": [], "associativity": [], "xy": []

@@ -126,6 +126,55 @@ class TestGhostBiModal:
         assert ghost.accesses == len(stream) - warmup + 1
 
 
+class TestCallContinuity:
+    """Two ``consume`` calls must equal one call over the joined stream.
+
+    Tracker state and LRU contents carry across calls; the shared-column
+    pass must pick them up rather than restart from a fresh tracker.
+    """
+
+    @pytest.mark.parametrize("state", [(4, 0), (3, 8), (2, 16)])
+    def test_bimodal_split_stream(self, stream, state):
+        x, y = state
+        cut = len(stream) // 3
+        whole = GhostBiModal(
+            1 << 20, set_size=2048, big_block_size=512, big_ways=x, small_ways=y
+        )
+        whole.consume(stream)
+        split = GhostBiModal(
+            1 << 20, set_size=2048, big_block_size=512, big_ways=x, small_ways=y
+        )
+        split.consume(stream[:cut])
+        split.consume(stream[cut:])
+        assert (split.hits, split.accesses) == (whole.hits, whole.accesses)
+
+    def test_adaptive_split_stream(self, stream):
+        cut = len(stream) // 3
+        whole = AdaptiveGhost(1 << 20, set_size=2048, big_block_size=512)
+        whole.consume(stream)
+        split = AdaptiveGhost(1 << 20, set_size=2048, big_block_size=512)
+        split.consume(stream[:cut])
+        split.consume(stream[cut:])
+        assert {s: (g.hits, g.accesses) for s, g in split.ghosts.items()} == {
+            s: (g.hits, g.accesses) for s, g in whole.ghosts.items()
+        }
+        assert split.best_state == whole.best_state
+
+    def test_adaptive_split_stream_with_warmup(self, stream):
+        # A reset inside the second call keeps what the first call
+        # trained: the counts equal one call resetting at that record.
+        cut = len(stream) // 3
+        warmup = len(stream) // 4
+        whole = AdaptiveGhost(1 << 20, set_size=2048, big_block_size=512)
+        whole.consume(stream, cut + warmup)
+        split = AdaptiveGhost(1 << 20, set_size=2048, big_block_size=512)
+        split.consume(stream[:cut])
+        split.consume(stream[cut:], warmup)
+        assert {s: (g.hits, g.accesses) for s, g in split.ghosts.items()} == {
+            s: (g.hits, g.accesses) for s, g in whole.ghosts.items()
+        }
+
+
 class TestAdaptiveGhost:
     def test_reports_the_best_fixed_state(self, stream):
         adaptive = AdaptiveGhost(1 << 20, set_size=2048, big_block_size=512)
