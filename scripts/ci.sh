@@ -63,6 +63,17 @@ echo "== benchmark self-tests (perfledger) =="
 # testpaths = ["tests"] keeps these out of the tier-1 run above.
 python3 -m pytest perfledger/tests -q
 
+# The Fig 7 claim (Bi-Modal's mean ANTT gain over AlloyCache stays
+# positive, dense mixes win) over the multiprogrammed runner; ~25 s on
+# a 2-vCPU host. Skipped where pytest-benchmark is not installed (the
+# CI test job installs it).
+if python -c "import pytest_benchmark" >/dev/null 2>&1; then
+    echo "== Fig 7 ANTT claim (benchmarks/bench_fig07_antt.py) =="
+    python -m pytest benchmarks/bench_fig07_antt.py -q
+else
+    echo "== Fig 7 ANTT claim == skipped: pytest-benchmark not installed"
+fi
+
 echo "== fault-tolerance smoke =="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}"' EXIT

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from itertools import chain
 
 from repro.common.config import CoreConfig
 from repro.cores.interval import IntervalCore
 from repro.cores.metrics import antt
 from repro.dramcache.base import DRAMCacheBase
-from repro.workloads.generator import ProgramTrace
+from repro.workloads.generator import ProgramTrace, TraceChunk
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.trace import CORE_ADDRESS_STRIDE
 
@@ -65,20 +66,35 @@ class MultiProgramRunner:
         self.accesses_per_core = accesses_per_core
         self.seed = seed
         self.warmup_fraction = warmup_fraction
+        # Program index -> its generated chunks. A program's stream
+        # depends only on (profile, seed, base address), so the
+        # multiprogrammed run and its standalone run replay the same
+        # chunks; they live as long as this runner and no longer.
+        self._chunks: dict[int, list[TraceChunk]] = {}
+
+    def _program_chunks(self, prog_idx: int) -> list[TraceChunk]:
+        """Program ``prog_idx``'s stream, generated on first use."""
+        chunks = self._chunks.get(prog_idx)
+        if chunks is None:
+            trace = ProgramTrace(
+                self.mix.programs[prog_idx],
+                seed=self.seed + prog_idx,
+                base_address=prog_idx * CORE_ADDRESS_STRIDE,
+            )
+            chunks = list(trace.chunks(self.accesses_per_core))
+            self._chunks[prog_idx] = chunks
+        return chunks
 
     # ------------------------------------------------------------------
     def _drive(self, program_indices: list[int]) -> RunResult:
         """Run the given subset of the mix's programs on a fresh cache."""
         cache = self.cache_factory()
         cores = [IntervalCore(i, self.core_config) for i in program_indices]
-        streams = []
-        for slot, prog_idx in enumerate(program_indices):
-            trace = ProgramTrace(
-                self.mix.programs[prog_idx],
-                seed=self.seed + prog_idx,
-                base_address=prog_idx * CORE_ADDRESS_STRIDE,
-            )
-            streams.append(iter_records(trace, self.accesses_per_core))
+        streams = [
+            chain.from_iterable(self._program_chunks(prog_idx))
+            for prog_idx in program_indices
+        ]
+        base_cpi = self.core_config.base_cpi
 
         # The heap is keyed on each core's *next access arrival time*
         # (clock + compute gap), so requests reach the shared memory
@@ -90,8 +106,7 @@ class MultiProgramRunner:
         for slot in range(len(cores)):
             record = next(streams[slot], None)
             if record is not None:
-                address, is_write, icount = record
-                arrival = cores[slot].cycles + icount * self.core_config.base_cpi
+                arrival = cores[slot].cycles + record[2] * base_cpi
                 heapq.heappush(heap, (arrival, slot, record))
         # Warm-up protocol (Section IV): the core clocks ANTT is computed
         # from cover only each core's *own* measured region — the first
@@ -105,16 +120,18 @@ class MultiProgramRunner:
         served_total = 0
         served = [0] * len(cores)
         cycle_marks = [0.0] * len(cores)
+        access = cache.access_fast
         while heap:
             _, slot, record = heapq.heappop(heap)
             address, is_write, icount = record
             core = cores[slot]
             core.advance_compute(icount)
-            result = cache.access(address, core.now, is_write=is_write)
+            now = core.now
+            complete = access(address, now, is_write)
             if is_write:
                 core.note_write()
             else:
-                core.apply_read_stall(result.latency)
+                core.apply_read_stall(complete - now)
             served_total += 1
             served[slot] += 1
             if per_core_warm and served[slot] == per_core_warm:
@@ -123,7 +140,7 @@ class MultiProgramRunner:
                 cache.reset_stats()
             nxt = next(streams[slot], None)
             if nxt is not None:
-                arrival = core.cycles + nxt[2] * self.core_config.base_cpi
+                arrival = core.cycles + nxt[2] * base_cpi
                 heapq.heappush(heap, (arrival, slot, nxt))
         return RunResult(
             per_core_cycles=[
@@ -150,10 +167,9 @@ class MultiProgramRunner:
         return antt(mp.per_core_cycles, standalone), mp
 
 
-def iter_records(trace: ProgramTrace, accesses: int):
+def iter_records(trace: ProgramTrace, accesses: int) -> Iterator[tuple[int, bool, int]]:
     """Flatten a trace's chunks into (address, is_write, icount) tuples."""
-    for chunk in trace.chunks(accesses):
-        yield from chunk
+    return chain.from_iterable(trace.chunks(accesses))
 
 
 def run_antt(

@@ -30,7 +30,8 @@ class _PrefetchCell:
     mode: str
 
 
-def _prefetch_antt(cell: _PrefetchCell) -> float:
+def _prefetch_runner(cell: _PrefetchCell) -> MultiProgramRunner:
+    """The ANTT runner of one Table VI cell: a prefetcher in front of the cache."""
     setup = cell.setup
     mix = mixes_for_cores(setup.num_cores)[cell.mix]
     total = setup.accesses_per_core * setup.num_cores
@@ -44,14 +45,17 @@ def _prefetch_antt(cell: _PrefetchCell) -> float:
         )
         return NextNPrefetcher(cache, degree=cell.degree, mode=cell.mode)
 
-    runner = MultiProgramRunner(
+    return MultiProgramRunner(
         mix,
         factory,
         accesses_per_core=setup.accesses_per_core,
         seed=setup.seed,
         footprint_scale=setup.footprint_scale,
     )
-    antt, _ = runner.run_antt()
+
+
+def _prefetch_antt(cell: _PrefetchCell) -> float:
+    antt, _ = _prefetch_runner(cell).run_antt()
     return antt
 
 

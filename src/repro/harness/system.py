@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from repro.common.config import SystemConfig
 from repro.cores.interval import IntervalCore
 from repro.cores.metrics import antt
+from repro.cores.multiprog import iter_records
 from repro.dramcache.base import DRAMCacheBase
 from repro.sram.hierarchy import CacheHierarchy
 from repro.sram.mshr import MSHRFile
@@ -116,7 +117,7 @@ class System:
                 seed=self.seed + core_id,
                 base_address=core_id * CORE_ADDRESS_STRIDE,
             )
-            streams.append(iter_flat(trace, accesses_per_core))
+            streams.append(iter_records(trace, accesses_per_core))
         # core_ids select the mix programs (and address bases); the
         # hardware cores are slot-indexed, so a single-core system can
         # replay any program of a larger mix standalone. The heap is
@@ -172,11 +173,6 @@ class System:
             mshr_merges=self.mshrs.merged_misses,
             dram_cache_stats=self.dram_cache.stats_snapshot(),
         )
-
-
-def iter_flat(trace: ProgramTrace, accesses: int):
-    for chunk in trace.chunks(accesses):
-        yield from chunk
 
 
 def run_system_antt(

@@ -47,6 +47,10 @@ class _ArrivalProbe:
         self.arrivals.append(now)
         return self.cache.access(address, now, is_write=is_write)
 
+    def access_fast(self, address, now, is_write=False):
+        self.arrivals.append(now)
+        return self.cache.access_fast(address, now, is_write)
+
     def reset_stats(self):
         self.cache.reset_stats()
 

@@ -67,6 +67,21 @@ class TestRuns:
 
         assert run() == run()
 
+    def test_each_program_stream_generated_once(self, runner, monkeypatch):
+        """The multiprogrammed and standalone runs share each program's stream."""
+        import repro.cores.multiprog as multiprog
+
+        built = []
+
+        class CountingTrace(multiprog.ProgramTrace):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("seed"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(multiprog, "ProgramTrace", CountingTrace)
+        runner.run_antt()
+        assert len(built) == runner.mix.num_cores
+
     def test_fresh_cache_per_run(self, runner):
         a = runner.run_multiprogrammed()
         b = runner.run_multiprogrammed()
